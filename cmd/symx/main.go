@@ -252,12 +252,16 @@ func main() {
 	}
 }
 
-// printStats renders the -stats block: CNF encoding effort, the
-// preprocessing pipeline's node-count trajectory, and the rewrite-rule hit
-// counters from the expression builder's rule table.
+// printStats renders the -stats block: CNF encoding effort, the model-reuse
+// ring's hit ratio, the preprocessing pipeline's node-count trajectory, and
+// the rewrite-rule hit counters from the expression builder's rule table.
 func printStats(st symx.Stats) {
 	fmt.Printf("encoding:      %d SAT vars, %d clauses emitted\n",
 		st.Solver.SATVars, st.Solver.SATClauses)
+	if evals := st.Solver.ModelReuseEvals; evals > 0 {
+		fmt.Printf("model reuse:   %d hits / %d ring models evaluated (%.1f%%)\n",
+			st.Solver.ModelReuseHits, evals, 100*float64(st.Solver.ModelReuseHits)/float64(evals))
+	}
 	if st.TestsEmitted > 0 {
 		fmt.Printf("tests:         %d emitted, %d deduplicated away\n",
 			st.TestsEmitted, st.TestsDeduped)

@@ -291,6 +291,7 @@ type Engine struct {
 	cfg   Config
 	build *expr.Builder
 	solv  *solver.Solver
+	eval  expr.Evaluator // concretizes tests, one epoch per model
 	qce   *qce.Analysis
 	an    *analysis.Program
 	cfgs  []*cfg.FuncCFG
@@ -1034,7 +1035,8 @@ func (e *Engine) finishState(s *State) {
 			if len(e.errors) < e.cfg.MaxTests {
 				pe := *s.Err
 				if model, err := e.solv.GetModelIn(s.sess, s.PC); err == nil && model != nil {
-					pe.Args = e.concretizeArgs(model)
+					e.eval.Reset(expr.Env(model))
+					pe.Args = e.concretizeArgs()
 				}
 				e.errors = append(e.errors, pe)
 			}
@@ -1132,23 +1134,25 @@ func (e *Engine) inputVars() []*expr.Expr {
 }
 
 // makeTest concretizes inputs and expectations under a path model (nil when
-// the solve failed; the test is then dropped).
+// the solve failed; the test is then dropped). Everything is evaluated in
+// one epoch, so subterms shared between argv, stdin, guards, outputs and the
+// exit code are computed once.
 func (e *Engine) makeTest(model solver.Model, s *State) (TestCase, bool) {
 	if model == nil {
 		return TestCase{}, false
 	}
-	tc := TestCase{Args: e.concretizeArgs(model)}
-	env := expr.Env(model)
+	e.eval.Reset(expr.Env(model))
+	tc := TestCase{Args: e.concretizeArgs()}
 	for _, cell := range e.stdin {
-		tc.Stdin = append(tc.Stdin, byte(expr.Eval(cell, env)))
+		tc.Stdin = append(tc.Stdin, byte(e.eval.Eval(cell)))
 	}
 	for _, o := range s.Output {
-		if o.Guard == nil || expr.EvalBool(o.Guard, env) {
-			tc.Output = append(tc.Output, byte(expr.Eval(o.Val, env)))
+		if o.Guard == nil || e.eval.EvalBool(o.Guard) {
+			tc.Output = append(tc.Output, byte(e.eval.Eval(o.Val)))
 		}
 	}
 	if s.ExitCode != nil {
-		tc.Exit = int64(int32(expr.Eval(s.ExitCode, env)))
+		tc.Exit = int64(int32(e.eval.Eval(s.ExitCode)))
 	}
 	if s.Err != nil {
 		tc.IsErr, tc.Msg, tc.Assert = true, s.Err.Msg, s.Err.Assert
@@ -1156,18 +1160,18 @@ func (e *Engine) makeTest(model solver.Model, s *State) (TestCase, bool) {
 	return tc, true
 }
 
-// concretizeArgs reads the argv cells under a model. Cells after an embedded
-// NUL are kept (trimming only trailing zeros): the paper's sym-args model
-// leaves bytes past the terminator readable and unconstrained, and programs
-// that index past the terminator depend on them — dropping them would make
-// generated tests unreplayable.
-func (e *Engine) concretizeArgs(model solver.Model) [][]byte {
-	env := expr.Env(model)
+// concretizeArgs reads the argv cells in the evaluator's current epoch (the
+// caller resets it under the model). Cells after an embedded NUL are kept
+// (trimming only trailing zeros): the paper's sym-args model leaves bytes
+// past the terminator readable and unconstrained, and programs that index
+// past the terminator depend on them — dropping them would make generated
+// tests unreplayable.
+func (e *Engine) concretizeArgs() [][]byte {
 	var out [][]byte
 	for _, cells := range e.argv {
 		arg := make([]byte, len(cells))
 		for i, c := range cells {
-			arg[i] = byte(expr.Eval(c, env))
+			arg[i] = byte(e.eval.Eval(c))
 		}
 		n := len(arg)
 		for n > 0 && arg[n-1] == 0 {

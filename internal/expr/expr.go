@@ -15,8 +15,8 @@
 // n-ary flattening and factoring, ...; see rules.go), each with a per-rule
 // hit counter. Simplify re-runs the table bottom-up over whole expressions
 // and SimplifySet over whole path conditions. Simplification is
-// semantics-preserving; the evaluator in eval.go is the reference semantics
-// and the property/fuzz tests check the two agree.
+// semantics-preserving; Evaluator (eval.go) is the reference semantics and
+// the property/fuzz tests check the two agree.
 package expr
 
 import (

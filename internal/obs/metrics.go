@@ -59,11 +59,11 @@ func (g *gauge) load() uint64 {
 const histBuckets = 26
 
 // histogram is a fixed-bucket latency histogram: lock-free observe (one
-// atomic add into a power-of-two µs bucket, one into the sum), snapshot by
-// summing stripes.
+// atomic add into a power-of-two µs bucket, one into the sum), shared by
+// every lane.
 type histogram struct {
-	buckets [histBuckets]counter
-	sumUS   counter
+	buckets [histBuckets]atomic.Uint64
+	sumUS   atomic.Uint64
 }
 
 func (h *histogram) observe(d time.Duration) {
@@ -72,8 +72,8 @@ func (h *histogram) observe(d time.Duration) {
 	if b >= histBuckets {
 		b = histBuckets - 1
 	}
-	h.buckets[b].add(0, 1)
-	h.sumUS.add(0, us)
+	h.buckets[b].Add(1)
+	h.sumUS.Add(us)
 }
 
 // HistBucket is one non-empty histogram bucket: N observations at most
@@ -98,10 +98,10 @@ func (h *histogram) snapshot() HistSnap {
 	var counts [histBuckets]uint64
 	var sn HistSnap
 	for i := range h.buckets {
-		counts[i] = h.buckets[i].load()
+		counts[i] = h.buckets[i].Load()
 		sn.Count += counts[i]
 	}
-	sn.SumUS = h.sumUS.load()
+	sn.SumUS = h.sumUS.Load()
 	if sn.Count == 0 {
 		return sn
 	}

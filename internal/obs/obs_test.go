@@ -300,3 +300,43 @@ func TestHistogramBuckets(t *testing.T) {
 		t.Fatalf("p50 = %d, want 2", sn.P50US)
 	}
 }
+
+func TestHistogramConcurrentObserve(t *testing.T) {
+	// Lanes observe into the same cells concurrently; run under -race,
+	// counts and sums must come out exact.
+	var h histogram
+	durs := []time.Duration{0, time.Microsecond, 3 * time.Microsecond, 5 * time.Millisecond}
+	const workers, per = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				h.observe(durs[i%len(durs)])
+			}
+		}()
+	}
+	wg.Wait()
+	sn := h.snapshot()
+	if want := uint64(workers * per); sn.Count != want {
+		t.Fatalf("count = %d, want %d", sn.Count, want)
+	}
+	var wantSum uint64
+	for _, d := range durs {
+		wantSum += uint64(d.Microseconds())
+	}
+	wantSum *= workers * per / uint64(len(durs))
+	if sn.SumUS != wantSum {
+		t.Fatalf("sum = %dµs, want %dµs", sn.SumUS, wantSum)
+	}
+	perBucket := uint64(workers * per / len(durs))
+	for i, b := range sn.Buckets {
+		if want := perBucket * uint64(i+1); b.N != want {
+			t.Fatalf("bucket %d (le %dµs): cumulative %d, want %d", i, b.LeUS, b.N, want)
+		}
+	}
+	if len(sn.Buckets) != len(durs) {
+		t.Fatalf("buckets = %+v, want %d non-empty", sn.Buckets, len(durs))
+	}
+}

@@ -1,9 +1,10 @@
 package parallel
 
-// White-box regression test for Combine's shared-counter attribution: rule
-// hits live on the expression builder, so a pool whose workers share one
-// builder must report the builder's counters exactly once — not once per
-// worker, and not whatever stale snapshot a worker embedded.
+// White-box regression tests for Combine's counter attribution: rule hits
+// live on the expression builder, so a pool whose workers share one builder
+// must report the builder's counters exactly once — not once per worker, and
+// not whatever stale snapshot a worker embedded; solver counters live on
+// each worker's solver and are summed.
 
 import (
 	"reflect"
@@ -45,5 +46,37 @@ func TestCombineRulesPrivateBuilders(t *testing.T) {
 	res := Combine([]*core.Result{older, newer}, true, core.Config{})
 	if len(res.Stats.Rules) != 1 || res.Stats.Rules[0].Hits != 25 {
 		t.Fatalf("private builders: Rules = %v, want the newest snapshot (hits 25)", res.Stats.Rules)
+	}
+}
+
+func TestCombineSumsSolverStats(t *testing.T) {
+	// Every solver counter is per-worker, so Combine must sum each one.
+	// Reflection fills every field with a distinct value, so a counter
+	// added to solver.Stats but not to Combine fails here.
+	mk := func(base int64) *core.Result {
+		r := &core.Result{}
+		v := reflect.ValueOf(&r.Stats.Solver).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.CanInt() {
+				f.SetInt(base + int64(i)) // SATTime
+			} else {
+				f.SetUint(uint64(base + int64(i)))
+			}
+		}
+		return r
+	}
+	res := Combine([]*core.Result{mk(100), mk(1000)}, true, core.Config{})
+	v := reflect.ValueOf(res.Stats.Solver)
+	for i := 0; i < v.NumField(); i++ {
+		f, want := v.Field(i), 1100+2*int64(i)
+		got := int64(0)
+		if f.CanInt() {
+			got = f.Int()
+		} else {
+			got = int64(f.Uint())
+		}
+		if got != want {
+			t.Errorf("Solver.%s = %d, want the workers' sum %d", v.Type().Field(i).Name, got, want)
+		}
 	}
 }

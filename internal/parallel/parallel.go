@@ -493,6 +493,7 @@ func Combine(all []*core.Result, completed bool, cfg core.Config) *core.Result {
 		st.Solver.Queries += s.Solver.Queries
 		st.Solver.CacheHits += s.Solver.CacheHits
 		st.Solver.ModelReuseHits += s.Solver.ModelReuseHits
+		st.Solver.ModelReuseEvals += s.Solver.ModelReuseEvals
 		st.Solver.SATCalls += s.Solver.SATCalls
 		st.Solver.SATTime += s.Solver.SATTime
 		st.Solver.IndepSliced += s.Solver.IndepSliced

@@ -101,7 +101,7 @@ func TestPipelineConfigsAgree(t *testing.T) {
 				t.Fatalf("iter %d (%s): verdict %v, brute force says %v for %v",
 					iter, name, got, want, cs)
 			}
-			if got && !modelSatisfies(m, cs) {
+			if got && !s.satisfies(m, cs) {
 				t.Fatalf("iter %d (%s): model %v does not satisfy original constraints %v",
 					iter, name, m, cs)
 			}
@@ -139,7 +139,7 @@ func TestPipelineShrinksEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res && !modelSatisfies(m, cs) {
+		if res && !s.satisfies(m, cs) {
 			t.Fatalf("%s: model does not satisfy constraints", spec)
 		}
 		return res, s.Stats.SATVars + s.Stats.SATClauses
@@ -195,7 +195,7 @@ func TestNaryBlastAgainstBruteForce(t *testing.T) {
 		if got != want {
 			t.Fatalf("iter %d: n-ary blast verdict %v, brute force %v: %s", iter, got, want, conds[0])
 		}
-		if got && !modelSatisfies(m, conds) {
+		if got && !s.satisfies(m, conds) {
 			t.Fatalf("iter %d: model fails the n-ary condition", iter)
 		}
 	}

@@ -40,13 +40,14 @@ func (m Model) String() string {
 // Stats counts solver-frontend activity. The engine reads these to report
 // the paper's query metrics.
 type Stats struct {
-	Queries        uint64        // top-level satisfiability questions
-	CacheHits      uint64        // answered by the counterexample cache
-	ModelReuseHits uint64        // answered by re-evaluating a recent model
-	SATCalls       uint64        // queries that reached bit-blasting + CDCL
-	SATTime        time.Duration // time spent inside CDCL (incl. blasting)
-	IndepSliced    uint64        // queries shrunk by independence slicing
-	Timeouts       uint64        // budget-limited unknowns
+	Queries         uint64        // top-level satisfiability questions
+	CacheHits       uint64        // answered by the counterexample cache
+	ModelReuseHits  uint64        // answered by re-evaluating a recent model
+	ModelReuseEvals uint64        // ring models evaluated on the reuse path
+	SATCalls        uint64        // queries that reached bit-blasting + CDCL
+	SATTime         time.Duration // time spent inside CDCL (incl. blasting)
+	IndepSliced     uint64        // queries shrunk by independence slicing
+	Timeouts        uint64        // budget-limited unknowns
 
 	// Incremental-session activity (see session.go).
 	SessionQueries    uint64 // queries answered by a persistent session
@@ -139,6 +140,10 @@ type Solver struct {
 	// recentModels is a small ring of models for the reuse fast path.
 	recentModels [8]Model
 	recentNext   int
+
+	// eval evaluates queries under ring models, one epoch per model, so
+	// subterms shared between conjuncts are computed once per model.
+	eval expr.Evaluator
 
 	// keyIDs is the scratch buffer for query fingerprints (sorted,
 	// de-duplicated expression IDs), reused across queries to keep the
@@ -529,17 +534,22 @@ func (s *Solver) tryRecentModels(constraints []*expr.Expr) Model {
 		if m == nil {
 			continue
 		}
-		if modelSatisfies(m, constraints) {
+		s.Stats.ModelReuseEvals++
+		if s.satisfies(m, constraints) {
 			return m
 		}
 	}
 	return nil
 }
 
-func modelSatisfies(m Model, constraints []*expr.Expr) bool {
-	env := expr.Env(m)
-	for _, c := range constraints {
-		if !expr.EvalBool(c, env) {
+// satisfies reports whether m satisfies every constraint, evaluating them
+// under one epoch. It checks the newest conjunct first: a ring model was
+// found for an earlier query, so the conjuncts added since are the ones
+// likely to fail, and the verdict is the conjunction whatever the order.
+func (s *Solver) satisfies(m Model, constraints []*expr.Expr) bool {
+	s.eval.Reset(expr.Env(m))
+	for i := len(constraints) - 1; i >= 0; i-- {
+		if !s.eval.EvalBool(constraints[i]) {
 			return false
 		}
 	}

@@ -281,6 +281,38 @@ func TestModelReuse(t *testing.T) {
 	if s.Stats.SATCalls != calls {
 		t.Fatal("model reuse did not avoid a SAT call")
 	}
+	if s.Stats.ModelReuseHits != 1 || s.Stats.ModelReuseEvals != 1 {
+		t.Fatalf("reuse counters: %d hits / %d evals, want 1 / 1",
+			s.Stats.ModelReuseHits, s.Stats.ModelReuseEvals)
+	}
+}
+
+// TestRecentModelsNoAllocs holds the reuse fast path to zero allocations
+// once the evaluator's memo is warm: a miss over a full ring evaluates
+// every model and allocates nothing.
+func TestRecentModelsNoAllocs(t *testing.T) {
+	b := expr.NewBuilder()
+	s := New(Options{EnableModelReuse: true})
+	x, y := b.Var("x", 8), b.Var("y", 8)
+	for i := uint64(0); i < uint64(len(s.recentModels)); i++ {
+		s.remember(Model{x: i, y: 2 * i})
+	}
+	shared := b.Add(b.Mul(x, y), x)
+	cs := []*expr.Expr{
+		b.Ult(shared, b.Const(200, 8)),
+		b.Ne(b.Ite(b.Ult(x, y), shared, y), b.Const(7, 8)),
+		b.Eq(shared, b.Const(255, 8)), // no ring model satisfies it
+	}
+	if m := s.tryRecentModels(cs); m != nil {
+		t.Fatalf("ring model %v satisfies an unsatisfied query", m)
+	}
+	evals := s.Stats.ModelReuseEvals
+	if allocs := testing.AllocsPerRun(100, func() { s.tryRecentModels(cs) }); allocs != 0 {
+		t.Fatalf("tryRecentModels allocates %.1f times per call, want 0", allocs)
+	}
+	if got, want := s.Stats.ModelReuseEvals-evals, uint64(101*len(s.recentModels)); got != want {
+		t.Fatalf("ModelReuseEvals grew by %d, want %d (every ring model per call)", got, want)
+	}
 }
 
 func TestMustMayQueries(t *testing.T) {

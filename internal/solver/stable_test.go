@@ -67,7 +67,7 @@ func queries(t *testing.T, b *expr.Builder, s *Solver) []bool {
 		if err != nil {
 			t.Fatalf("CheckSat: %v", err)
 		}
-		if ok && !modelSatisfies(m, set) {
+		if ok && !s.satisfies(m, set) {
 			t.Fatalf("returned model does not satisfy the constraints: %v", m)
 		}
 		out = append(out, ok)
